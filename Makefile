@@ -302,6 +302,8 @@ trace-smoke:
 fuzz-smoke:
 	@echo "Fuzzing campaign parsing for 20s..."
 	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzParseCampaign$$' -fuzztime 20s
+	@echo "Fuzzing job admission (decode + kind-table resolve) for 10s..."
+	@go test ./internal/experiments -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s
 
 # serve-smoke depends on sim-smoke/sweep-smoke so the run store is warm:
 # the whole point of the assertion is that a warm store lets the daemon

@@ -6,13 +6,15 @@
 //
 // With one -param/-values pair it is the classic one-axis sweep,
 // overall and per CPI-stack component — the model-extrapolation
-// experiment the paper gestures at but never runs. Repeating
+// experiment the paper gestures at but never runs; -json emits the
+// POST /v1/sweep report instead of the tables. Repeating
 // -param/-values crosses the axes into a multi-axis exploration plan: a
 // full grid of derived machines, fitted once at the base point and
 // extrapolated per cell, with every workload's µop trace materialized
 // once and replayed across all grid machines. -plan loads the same grid
 // from a strict-JSON plan file ({"base": ..., "axes": [...], "suite":
-// ...}), the format POST /v1/plan accepts over the wire.
+// ...}), the format POST /v1/plan accepts over the wire; -json emits
+// the POST /v1/plan report instead of the grid table.
 //
 // -optimize searches a grid instead of enumerating it: it loads a
 // strict-JSON optimize spec ({"base": ..., "axes": [...], "suite": ...,
@@ -34,10 +36,10 @@
 //
 // Usage:
 //
-//	sweep -base core2 -param rob -values 32,64,128,256
+//	sweep -base core2 -param rob -values 32,64,128,256 [-json]
 //	      [-suite cpu2006] [-ops N] [-starts N] [-store DIR]
-//	sweep -base core2 -param rob -values 64,128 -param memlat -values 150,300
-//	sweep -plan grid.json [-ops N] [-starts N] [-store DIR]
+//	sweep -base core2 -param rob -values 64,128 -param memlat -values 150,300 [-json]
+//	sweep -plan grid.json [-json] [-ops N] [-starts N] [-store DIR]
 //	sweep -optimize spec.json [-json] [-ops N] [-starts N] [-store DIR]
 //	sweep -seeds spec.json [-json] [-ops N] [-starts N] [-store DIR]
 //	      [-cpuprofile FILE] [-memprofile FILE]
@@ -60,7 +62,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/prof"
 	"repro/internal/runstore"
-	"repro/internal/serve"
 	"repro/internal/uarch"
 )
 
@@ -83,7 +84,7 @@ func main() {
 	planFile := flag.String("plan", "", "plan file (strict JSON {base, axes, suite}); replaces -base/-param/-values/-suite")
 	optimizeFile := flag.String("optimize", "", "optimize spec file (strict JSON {base, axes, suite, objective[, search]}); replaces -base/-param/-values/-suite")
 	seedsFile := flag.String("seeds", "", "seeds spec file (strict JSON {base, suite, seeds|count} or {campaign, seeds|count}); replaces -base/-param/-values/-suite")
-	jsonOut := flag.Bool("json", false, "with -optimize, -seeds or a grid plan, print the wire-format JSON report instead of the table")
+	jsonOut := flag.Bool("json", false, "print the wire-format JSON report (the matching POST /v1/{sweep,plan,optimize,seeds} body) instead of the tables")
 	suite := flag.String("suite", "cpu2006", "suite to simulate and fit on")
 	ops := flag.Int("ops", 300000, "µops per workload")
 	starts := flag.Int("starts", 12, "regression multi-start count")
@@ -222,9 +223,6 @@ func realMain(out io.Writer, baseName string, params, valueLists []string, suite
 
 	if len(axes) == 1 {
 		// The classic one-axis sweep, with its original output format.
-		if jsonOut {
-			return fmt.Errorf("-json is only meaningful with -optimize or a multi-axis grid plan")
-		}
 		if _, err := experiments.SweepParamByName(axes[0].Param); err != nil {
 			return err
 		}
@@ -243,7 +241,9 @@ func realMain(out io.Writer, baseName string, params, valueLists []string, suite
 				100*float64(st.Hits)/float64(st.Hits+st.Simulated))
 		}
 		fmt.Fprintln(os.Stderr)
-
+		if jsonOut {
+			return writeReport(out, res.Report())
+		}
 		fmt.Fprint(out, res.Render())
 		return nil
 	}
@@ -273,24 +273,10 @@ func runOptimize(out io.Writer, o *experiments.Optimize, opts experiments.Option
 	}
 	fmt.Fprintf(os.Stderr, "optimize done in %v: %d of %d cells probed\n",
 		time.Since(t0).Round(time.Millisecond), res.Probes, res.GridCells)
-	st := res.Stats
-	if opts.Store != nil {
-		fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate), %d traces generated\n",
-			opts.Store.Dir(), st.Hits, st.Simulated,
-			100*float64(st.Hits)/float64(st.Hits+st.Simulated), st.TraceGens)
-	} else {
-		fmt.Fprintf(os.Stderr, "%d simulated, %d traces generated\n", st.Simulated, st.TraceGens)
-	}
-	fmt.Fprintln(os.Stderr)
+	printSourcing(res.Stats, opts.Store)
 
 	if jsonOut {
-		data, err := json.MarshalIndent(res.Report(), "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		_, err = out.Write(data)
-		return err
+		return writeReport(out, res.Report())
 	}
 	fmt.Fprint(out, res.Render())
 	return nil
@@ -313,24 +299,10 @@ func runSeeds(out io.Writer, s *experiments.Seeds, opts experiments.Options, jso
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "seeds done in %v\n", time.Since(t0).Round(time.Millisecond))
-	st := res.Stats
-	if opts.Store != nil {
-		fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate), %d traces generated\n",
-			opts.Store.Dir(), st.Hits, st.Simulated,
-			100*float64(st.Hits)/float64(st.Hits+st.Simulated), st.TraceGens)
-	} else {
-		fmt.Fprintf(os.Stderr, "%d simulated, %d traces generated\n", st.Simulated, st.TraceGens)
-	}
-	fmt.Fprintln(os.Stderr)
+	printSourcing(res.Stats, opts.Store)
 
 	if jsonOut {
-		data, err := json.MarshalIndent(res.Report(), "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		_, err = out.Write(data)
-		return err
+		return writeReport(out, res.Report())
 	}
 	fmt.Fprint(out, res.Render())
 	return nil
@@ -353,25 +325,35 @@ func runGrid(out io.Writer, plan *experiments.Plan, opts experiments.Options, js
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "plan done in %v\n", time.Since(t0).Round(time.Millisecond))
-	st := res.Stats
-	if opts.Store != nil {
+	printSourcing(res.Stats, opts.Store)
+
+	if jsonOut {
+		return writeReport(out, res.Report())
+	}
+	fmt.Fprint(out, res.Render())
+	return nil
+}
+
+// writeReport prints an operation's wire-format report exactly as the
+// matching POST endpoint answers it: indented JSON plus a newline.
+func writeReport(out io.Writer, report any) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = out.Write(append(data, '\n'))
+	return err
+}
+
+// printSourcing reports to stderr where the runs came from and how many
+// µop traces were actually generated (a warm store regenerates none).
+func printSourcing(st experiments.SimStats, store *runstore.Store) {
+	if store != nil {
 		fmt.Fprintf(os.Stderr, "run store %s: %d hits, %d simulated (%.1f%% hit rate), %d traces generated\n",
-			opts.Store.Dir(), st.Hits, st.Simulated,
+			store.Dir(), st.Hits, st.Simulated,
 			100*float64(st.Hits)/float64(st.Hits+st.Simulated), st.TraceGens)
 	} else {
 		fmt.Fprintf(os.Stderr, "%d simulated, %d traces generated\n", st.Simulated, st.TraceGens)
 	}
 	fmt.Fprintln(os.Stderr)
-
-	if jsonOut {
-		data, err := json.MarshalIndent(serve.PlanResponseFrom(res), "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		_, err = out.Write(data)
-		return err
-	}
-	fmt.Fprint(out, res.Render())
-	return nil
 }

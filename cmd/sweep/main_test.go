@@ -3,10 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/serve"
 )
 
 func TestParseValues(t *testing.T) {
@@ -90,6 +96,39 @@ func TestRealMainPlanFile(t *testing.T) {
 	}
 }
 
+// TestRealMainSweepJSONMatchesServe: a one-axis sweep's -json output
+// is byte-identical to the POST /v1/sweep answer for the same inputs —
+// one report type, marshalled the same way on both surfaces.
+func TestRealMainSweepJSONMatchesServe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end sweep is slow")
+	}
+	var out bytes.Buffer
+	if err := realMain(&out, "core2", []string{"rob"}, []string{"48,96"}, "cpu2000", 2000, 2, 0, 0, "", "", "", "", true); err != nil {
+		t.Fatalf("sweep -json: %v", err)
+	}
+
+	prov := experiments.NewProvider(experiments.Options{NumOps: 2000, FitStarts: 2})
+	ts := httptest.NewServer(serve.New(prov, nil).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(
+		`{"base": {"name": "core2"}, "param": "rob", "values": [48, 96], "suite": "cpu2000"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/sweep: status %d: %s", resp.StatusCode, body)
+	}
+	if !bytes.Equal(out.Bytes(), body) {
+		t.Errorf("sweep -json differs from POST /v1/sweep:\ncli:\n%s\nserve:\n%s", out.Bytes(), body)
+	}
+}
+
 func TestRealMainOptimizeFile(t *testing.T) {
 	dir := t.TempDir()
 	spec := filepath.Join(dir, "opt.json")
@@ -137,7 +176,8 @@ func TestRealMainOptimizeFile(t *testing.T) {
 		t.Errorf("warm rerun sims = %+v, want zero simulated and zero trace generations", rep.Sims)
 	}
 
-	// -optimize is exclusive with -plan and -param, and -json needs it.
+	// -optimize is exclusive with -plan and -param, and -json still
+	// needs a mode: without -values there is nothing to run.
 	if err := realMain(&out, "core2", []string{"rob"}, []string{"64"}, "cpu2000", 1000, 2, 0, 0, "", "", spec, "", false); err == nil {
 		t.Error("-optimize together with -param should fail")
 	}
@@ -145,7 +185,7 @@ func TestRealMainOptimizeFile(t *testing.T) {
 		t.Error("-optimize together with -plan should fail")
 	}
 	if err := realMain(&out, "core2", nil, nil, "cpu2000", 1000, 2, 0, 0, "", "", "", "", true); err == nil {
-		t.Error("-json without -optimize should fail")
+		t.Error("-json without -values should fail")
 	}
 
 	bad := filepath.Join(dir, "bad.json")

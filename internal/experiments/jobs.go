@@ -9,13 +9,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/suites"
+	"repro/internal/uarch"
 )
 
 // Job kinds: a declarative campaign (machines × suites, the
@@ -52,15 +53,6 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
-// SweepSpec declares a sweep job: the base machine spec, the swept axis,
-// the swept values, and the suite — exactly cmd/sweep's flags as JSON.
-type SweepSpec struct {
-	Base   MachineSpec `json:"base"`
-	Param  string      `json:"param"`
-	Values []int       `json:"values"`
-	Suite  string      `json:"suite"`
-}
-
 // JobSpec is the submitted description of an asynchronous job: the kind
 // plus exactly one matching payload. It is the JSON schema of the
 // POST /v1/jobs body.
@@ -87,9 +79,9 @@ type JobSpec struct {
 // screens): finishing with DoneRuns well below it is the searched-grid
 // saving, and the probe counters — full-fidelity cells evaluated, out
 // of the search's probe bound — are the meaningful completion gauge.
-// Plan jobs additionally report grid-cell completion: a cell is done
-// once every workload of its derived machine has a run (the base fit
-// point counts as a cell too). Seeds jobs report replication
+// Grid jobs (plan, and sweep as a one-axis plan) additionally report
+// grid-cell completion: a cell is done once every workload of its
+// derived machine has a run (the base fit point counts as a cell too). Seeds jobs report replication
 // completion: a seed is done once every (machine, suite) cell of that
 // replication is simulated and fitted. Cell, probe and seed counters
 // stay zero for the kinds they don't apply to.
@@ -108,8 +100,8 @@ type JobProgress struct {
 
 // JobStatus is an immutable snapshot of one job: what the GET /v1/jobs
 // endpoints serve and what terminal-state artifacts persist. Result is
-// set only in state done: a CampaignJobResult or SweepJobResult,
-// matching the job's kind.
+// set only in state done: the kind's wire result — a CampaignJobResult,
+// SweepReport, PlanReport, OptimizeReport or SeedsReport.
 type JobStatus struct {
 	ID        string          `json:"id"`
 	Kind      string          `json:"kind"`
@@ -157,69 +149,6 @@ type CampaignJobResult struct {
 	FitStarts int                   `json:"fitStarts"`
 	Seed      uint64                `json:"seed"`
 	Models    []CampaignModelResult `json:"models"`
-}
-
-// StackCPI is one CPI-stack component, in stack order (base first).
-type StackCPI struct {
-	Component string  `json:"component"`
-	CPI       float64 `json:"cpi"`
-}
-
-func stackCPIs(st sim.Stack) []StackCPI {
-	out := make([]StackCPI, 0, sim.NumComponents)
-	for _, c := range sim.Components() {
-		out = append(out, StackCPI{Component: c.String(), CPI: st.Cycles[c]})
-	}
-	return out
-}
-
-// SweepJobPoint is one swept configuration: simulated vs
-// model-extrapolated suite-mean CPI and stacks. RelErr is signed.
-type SweepJobPoint struct {
-	Value      int        `json:"value"`
-	Machine    string     `json:"machine"`
-	SimCPI     float64    `json:"simCPI"`
-	ModelCPI   float64    `json:"modelCPI"`
-	RelErr     float64    `json:"relErr"`
-	SimStack   []StackCPI `json:"simStack"`
-	ModelStack []StackCPI `json:"modelStack"`
-}
-
-// SweepJobResult is a sweep job's terminal result, bit-identical to the
-// equivalent blocking RunSweep (cmd/sweep) computation.
-type SweepJobResult struct {
-	Base      string          `json:"base"`
-	Param     string          `json:"param"`
-	BaseValue int             `json:"baseValue"`
-	Suite     string          `json:"suite"`
-	Ops       int             `json:"ops"`
-	Points    []SweepJobPoint `json:"points"`
-}
-
-// PlanJobCell is one evaluated grid cell of a plan job: its axis values
-// (aligned with the plan's axes), the derived machine, and simulated vs
-// model-extrapolated suite-mean CPI and stacks. RelErr is signed.
-type PlanJobCell struct {
-	Values     []int      `json:"values"`
-	Machine    string     `json:"machine"`
-	SimCPI     float64    `json:"simCPI"`
-	ModelCPI   float64    `json:"modelCPI"`
-	RelErr     float64    `json:"relErr"`
-	SimStack   []StackCPI `json:"simStack"`
-	ModelStack []StackCPI `json:"modelStack"`
-}
-
-// PlanJobResult is a plan job's terminal result, bit-identical to the
-// equivalent blocking RunPlan (cmd/sweep grid mode) computation. Cells
-// appear row-major with the last axis fastest; BaseValues is the fit
-// point on each axis.
-type PlanJobResult struct {
-	Base       string        `json:"base"`
-	Suite      string        `json:"suite"`
-	Ops        int           `json:"ops"`
-	Axes       []PlanAxis    `json:"axes"`
-	BaseValues []int         `json:"baseValues"`
-	Cells      []PlanJobCell `json:"cells"`
 }
 
 // Backpressure sentinels: Submit failures that are about the engine's
@@ -277,15 +206,14 @@ func (c JobsConfig) withDefaults() JobsConfig {
 }
 
 // Jobs executes campaigns, sweeps, plans, optimizations and seed
-// sweeps asynchronously: Submit validates and enqueues, a bounded
-// worker pool executes through the same Lab.Simulate / RunSweep /
-// RunPlan / RunOptimize / RunSeeds entry points the blocking CLIs use
-// (so batch and daemon answers stay bit-identical, and the run store is
-// shared),
-// per-job progress counters are fed from the store-hit/simulated
-// callbacks, Cancel stops a job mid-flight via context cancellation,
-// and terminal states are persisted as JSON artifacts. Safe for
-// concurrent use.
+// sweeps asynchronously: Submit resolves the spec through the job-kind
+// table and enqueues it, a bounded worker pool executes through the
+// same Lab.Simulate / RunPlan / RunOptimize / RunSeeds entry points the
+// blocking CLIs use (so batch and daemon answers stay bit-identical,
+// and the run store is shared), per-job progress counters are fed from
+// the store-hit/simulated callbacks, Cancel stops a job mid-flight via
+// context cancellation, and terminal states are persisted as JSON
+// artifacts. Safe for concurrent use.
 type Jobs struct {
 	opts Options
 	cfg  JobsConfig
@@ -304,16 +232,14 @@ type Jobs struct {
 type job struct {
 	id        string
 	spec      JobSpec
-	plan      *Plan     // resolved grid for plan jobs; nil otherwise
-	optimize  *Optimize // resolved search for optimize jobs; nil otherwise
-	seeds     *Seeds    // resolved sweep for seeds jobs; nil otherwise
+	exec      func(ctx context.Context) (any, error) // the resolved kind's run closure
 	submitted time.Time
 	ctx       context.Context
 	cancel    context.CancelFunc
 
 	state    JobState
 	progress JobProgress
-	// cellLeft tracks, for a plan job, how many workload runs each grid
+	// cellLeft tracks, for a grid job, how many workload runs each grid
 	// machine still owes (armed at submission); a machine draining to
 	// zero completes a cell. Nil for other kinds.
 	cellLeft map[string]int
@@ -352,107 +278,137 @@ func newJobID() string {
 	return "job-" + hex.EncodeToString(b[:])
 }
 
-// validate checks a spec without running anything and returns the total
-// run count its execution will dispatch or serve from the store (for an
-// optimize job: the search's upper bound). For a plan job it also
-// returns the resolved grid, for an optimize job the resolved search,
-// and for a seeds job the resolved sweep, so Submit can record totals
-// and the worker never re-derives the machines.
-func (j *Jobs) validate(spec JobSpec) (int, *Plan, *Optimize, *Seeds, error) {
-	if err := spec.payloadMatchesKind(); err != nil {
-		return 0, nil, nil, nil, err
-	}
-	switch spec.Kind {
-	case JobKindCampaign:
-		lab, err := campaignJobLab(*spec.Campaign, j.opts)
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return len(lab.Machines()) * lab.NumWorkloads(), nil, nil, nil, nil
-	case JobKindSweep:
-		sw := spec.Sweep
-		base, err := sw.Base.Resolve()
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		if _, err := NewPlan(base, []PlanAxis{{Param: sw.Param, Values: sw.Values}}, sw.Suite); err != nil {
-			return 0, nil, nil, nil, err
-		}
-		suite, err := suites.ByName(sw.Suite, suites.Options{NumOps: j.opts.NumOps})
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return (1 + len(sw.Values)) * len(suite.Workloads), nil, nil, nil, nil
-	case JobKindPlan:
-		plan, err := spec.Plan.Resolve()
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		suite, err := suites.ByName(plan.Suite, suites.Options{NumOps: j.opts.NumOps})
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return len(plan.Machines) * len(suite.Workloads), plan, nil, nil, nil
-	case JobKindOptimize:
-		o, err := spec.Optimize.Resolve()
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		suite, err := suites.ByName(o.Plan.Suite, suites.Options{NumOps: j.opts.NumOps})
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return o.runBound(len(suite.Workloads)), nil, o, nil, nil
-	case JobKindSeeds:
-		s, err := spec.Seeds.Resolve()
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		return s.TotalRuns(), nil, nil, s, nil
-	default:
-		return 0, nil, nil, nil, fmt.Errorf("experiments: unknown job kind %q (want %q, %q, %q, %q or %q)",
-			spec.Kind, JobKindCampaign, JobKindSweep, JobKindPlan, JobKindOptimize, JobKindSeeds)
-	}
+// jobKind is one row of the job-kind table: the kind's name, whether a
+// spec carries the kind's payload, and its resolve step. Resolve
+// validates the payload without running anything and returns the
+// progress totals plus the closure a worker runs. opts are the engine's
+// options with the run-progress hook bound to the job; set applies a
+// progress update under the engine lock.
+type jobKind struct {
+	name    string
+	payload func(*JobSpec) bool
+	resolve func(spec *JobSpec, opts Options, set func(func(*JobProgress))) (*resolvedJob, error)
 }
 
-// payloadMatchesKind rejects a spec whose payloads disagree with its
-// kind: the matching payload must be present and every other absent, so
-// a mis-tagged submission fails loudly instead of silently running the
-// wrong experiment.
-func (spec JobSpec) payloadMatchesKind() error {
-	if spec.Kind != JobKindCampaign && spec.Kind != JobKindSweep &&
-		spec.Kind != JobKindPlan && spec.Kind != JobKindOptimize &&
-		spec.Kind != JobKindSeeds {
-		return nil // validate's default case names the valid kinds
-	}
-	payloads := []struct {
-		kind string
-		set  bool
-	}{
-		{JobKindCampaign, spec.Campaign != nil},
-		{JobKindSweep, spec.Sweep != nil},
-		{JobKindPlan, spec.Plan != nil},
-		{JobKindOptimize, spec.Optimize != nil},
-		{JobKindSeeds, spec.Seeds != nil},
-	}
-	for _, p := range payloads {
-		if p.kind == spec.Kind && !p.set {
-			return fmt.Errorf("experiments: %s job without a %s payload", spec.Kind, spec.Kind)
-		}
-	}
-	for _, p := range payloads {
-		if p.kind != spec.Kind && p.set {
-			return fmt.Errorf("experiments: %s job with a %s payload", spec.Kind, p.kind)
-		}
-	}
-	return nil
+// resolvedJob is a validated spec, ready to run.
+type resolvedJob struct {
+	// progress holds the totals known at submission, so the queued
+	// snapshot already reports them.
+	progress JobProgress
+	// grid lists a grid job's machines, each owing one run per workload;
+	// Submit arms the per-cell countdown from it.
+	grid []*uarch.Machine
+	run  func(ctx context.Context) (any, error)
 }
 
-// campaignJobLab builds the lab a campaign job executes in. The
-// campaign's explicit fit options take precedence over the engine's (see
-// JobSpec); zeroing the engine fields makes NewCampaignLab inherit the
-// campaign's values.
-func campaignJobLab(c Campaign, opts Options) (*Lab, error) {
+// jobKinds is the job-kind table. Submit, the payload rule and the
+// unknown-kind message all derive from it. A sweep, plan, optimize or
+// seeds job's result is the report its synchronous endpoint answers
+// with; campaigns run only as jobs.
+var jobKinds = []jobKind{
+	{JobKindCampaign, func(s *JobSpec) bool { return s.Campaign != nil }, resolveCampaignJob},
+	{JobKindSweep, func(s *JobSpec) bool { return s.Sweep != nil },
+		func(s *JobSpec, opts Options, _ func(func(*JobProgress))) (*resolvedJob, error) {
+			plan, err := s.Sweep.Resolve()
+			if err != nil {
+				return nil, err
+			}
+			return gridJob(plan, opts, func(res *PlanResult) (any, error) {
+				sw, err := sweepFromPlan(res)
+				if err != nil {
+					return nil, err
+				}
+				return sw.Report(), nil
+			})
+		}},
+	{JobKindPlan, func(s *JobSpec) bool { return s.Plan != nil },
+		func(s *JobSpec, opts Options, _ func(func(*JobProgress))) (*resolvedJob, error) {
+			plan, err := s.Plan.Resolve()
+			if err != nil {
+				return nil, err
+			}
+			return gridJob(plan, opts, func(res *PlanResult) (any, error) { return res.Report(), nil })
+		}},
+	{JobKindOptimize, func(s *JobSpec) bool { return s.Optimize != nil },
+		func(s *JobSpec, opts Options, set func(func(*JobProgress))) (*resolvedJob, error) {
+			o, err := s.Optimize.Resolve()
+			if err != nil {
+				return nil, err
+			}
+			workloads, err := suiteWorkloads(o.Plan.Suite)
+			if err != nil {
+				return nil, err
+			}
+			// The probe counter is fed by the optimizer's own hook, firing
+			// after each full-fidelity probe batch.
+			onProbe := func(done int) { set(func(p *JobProgress) { p.DoneProbes = done }) }
+			return &resolvedJob{
+				progress: JobProgress{TotalRuns: o.runBound(workloads), TotalProbes: o.ProbeBound()},
+				run: func(ctx context.Context) (any, error) {
+					res, err := RunOptimizeContext(ctx, o, opts, onProbe)
+					if err != nil {
+						return nil, err
+					}
+					return res.Report(), nil
+				},
+			}, nil
+		}},
+	{JobKindSeeds, func(s *JobSpec) bool { return s.Seeds != nil },
+		func(s *JobSpec, opts Options, set func(func(*JobProgress))) (*resolvedJob, error) {
+			sw, err := s.Seeds.Resolve()
+			if err != nil {
+				return nil, err
+			}
+			// The seed counter is fed by the sweep's own hook, firing after
+			// each fully evaluated replication.
+			onSeed := func(done int) { set(func(p *JobProgress) { p.DoneSeeds = done }) }
+			return &resolvedJob{
+				progress: JobProgress{TotalRuns: sw.TotalRuns(), TotalSeeds: len(sw.SeedList)},
+				run: func(ctx context.Context) (any, error) {
+					res, err := RunSeedsContext(ctx, sw, opts, onSeed)
+					if err != nil {
+						return nil, err
+					}
+					return res.Report(), nil
+				},
+			}, nil
+		}},
+}
+
+// resolveJob looks the spec's kind up in the table, enforces the payload
+// rule — the kind's own payload present and every other absent, so a
+// mis-tagged submission fails loudly instead of silently running the
+// wrong experiment — and runs the kind's resolve step.
+func resolveJob(spec *JobSpec, opts Options, set func(func(*JobProgress))) (*resolvedJob, error) {
+	var kind *jobKind
+	names := make([]string, len(jobKinds))
+	for i := range jobKinds {
+		names[i] = strconv.Quote(jobKinds[i].name)
+		if jobKinds[i].name == spec.Kind {
+			kind = &jobKinds[i]
+		}
+	}
+	if kind == nil {
+		return nil, fmt.Errorf("experiments: unknown job kind %q (want %s or %s)",
+			spec.Kind, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
+	}
+	if !kind.payload(spec) {
+		return nil, fmt.Errorf("experiments: %s job without a %s payload", spec.Kind, spec.Kind)
+	}
+	for _, other := range jobKinds {
+		if other.name != spec.Kind && other.payload(spec) {
+			return nil, fmt.Errorf("experiments: %s job with a %s payload", spec.Kind, other.name)
+		}
+	}
+	return kind.resolve(spec, opts, set)
+}
+
+// resolveCampaignJob builds the lab a campaign job executes in. The
+// campaign's explicit fit options take precedence over the engine's
+// (see JobSpec); zeroing the engine fields makes NewCampaignLab inherit
+// the campaign's values.
+func resolveCampaignJob(s *JobSpec, opts Options, _ func(func(*JobProgress))) (*resolvedJob, error) {
+	c := *s.Campaign
 	if c.NumOps > 0 {
 		opts.NumOps = 0
 	}
@@ -462,47 +418,63 @@ func campaignJobLab(c Campaign, opts Options) (*Lab, error) {
 	if c.Seed > 0 {
 		opts.Seed = 0
 	}
-	return NewCampaignLab(c, opts)
+	lab, err := NewCampaignLab(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &resolvedJob{
+		progress: JobProgress{TotalRuns: len(lab.Machines()) * lab.NumWorkloads()},
+		run:      func(ctx context.Context) (any, error) { return campaignResult(ctx, lab) },
+	}, nil
 }
 
-// Submit validates spec, enqueues it, and returns the queued snapshot.
+// gridJob resolves a grid job — a plan, or a sweep as its one-axis
+// plan — executed exactly as cmd/sweep does (RunPlan over the resolved
+// grid). Every grid machine, the base fit point included, owes one run
+// per workload; report condenses the executed grid into the job result.
+func gridJob(plan *Plan, opts Options, report func(*PlanResult) (any, error)) (*resolvedJob, error) {
+	workloads, err := suiteWorkloads(plan.Suite)
+	if err != nil {
+		return nil, err
+	}
+	return &resolvedJob{
+		progress: JobProgress{TotalRuns: len(plan.Machines) * workloads},
+		grid:     plan.Machines,
+		run: func(ctx context.Context) (any, error) {
+			res, err := RunPlanContext(ctx, plan, opts)
+			if err != nil {
+				return nil, err
+			}
+			return report(res)
+		},
+	}, nil
+}
+
+// Submit resolves spec, enqueues it, and returns the queued snapshot.
 // It fails fast — without enqueuing — on an invalid spec, a full queue,
 // or an engine that is draining.
 func (j *Jobs) Submit(spec JobSpec) (JobStatus, error) {
-	total, plan, optimize, seeds, err := j.validate(spec)
+	jb := &job{id: newJobID(), spec: spec, submitted: time.Now().UTC(), state: JobQueued}
+	r, err := resolveJob(&jb.spec, j.jobOptions(jb), func(update func(*JobProgress)) {
+		j.mu.Lock()
+		update(&jb.progress)
+		j.mu.Unlock()
+	})
 	if err != nil {
 		return JobStatus{}, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	jb := &job{
-		id:        newJobID(),
-		spec:      spec,
-		plan:      plan,
-		optimize:  optimize,
-		seeds:     seeds,
-		submitted: time.Now().UTC(),
-		ctx:       ctx,
-		cancel:    cancel,
-		state:     JobQueued,
-		progress:  JobProgress{TotalRuns: total},
-	}
-	if optimize != nil {
-		jb.progress.TotalProbes = optimize.ProbeBound()
-	}
-	if seeds != nil {
-		jb.progress.TotalSeeds = len(seeds.SeedList)
-	}
-	if plan != nil {
-		// Cell totals are known at submission: the 202 snapshot already
-		// reports them, and per-machine countdowns arm cell completion
-		// once the worker's progress hook starts firing.
-		jb.progress.TotalCells = len(plan.Machines)
-		jb.cellLeft = make(map[string]int, len(plan.Machines))
-		workloads := total / len(plan.Machines)
-		for _, m := range plan.Machines {
-			jb.cellLeft[m.Name] = workloads
+	jb.exec, jb.progress = r.run, r.progress
+	if len(r.grid) > 0 {
+		// Cell totals are known at submission, and per-machine countdowns
+		// arm cell completion once the progress hook starts firing.
+		jb.progress.TotalCells = len(r.grid)
+		jb.cellLeft = make(map[string]int, len(r.grid))
+		for _, m := range r.grid {
+			jb.cellLeft[m.Name] = r.progress.TotalRuns / len(r.grid)
 		}
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	jb.ctx, jb.cancel = ctx, cancel
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
@@ -646,7 +618,7 @@ func (j *Jobs) run(jb *job) {
 	jb.started = time.Now().UTC()
 	j.mu.Unlock()
 
-	result, err := j.execute(jb)
+	result, err := jb.exec(jb.ctx)
 	var raw json.RawMessage
 	if err == nil {
 		raw, err = json.Marshal(result)
@@ -666,9 +638,10 @@ func (j *Jobs) run(jb *job) {
 	j.mu.Unlock()
 }
 
-// execute runs the job's spec under its cancellation context, with the
-// job's progress counters hooked into the shared runSimJobs path.
-func (j *Jobs) execute(jb *job) (any, error) {
+// jobOptions returns the engine options with the per-run progress hook
+// bound to jb: every completed run advances the run counters and, for a
+// grid job, the countdown of the machine's cell.
+func (j *Jobs) jobOptions(jb *job) Options {
 	opts := j.opts
 	opts.Progress = func(run RunKey, hit bool) {
 		j.mu.Lock()
@@ -688,30 +661,13 @@ func (j *Jobs) execute(jb *job) (any, error) {
 		}
 		j.mu.Unlock()
 	}
-	switch jb.spec.Kind {
-	case JobKindCampaign:
-		return runCampaignJob(jb.ctx, *jb.spec.Campaign, opts)
-	case JobKindSweep:
-		return runSweepJob(jb.ctx, *jb.spec.Sweep, opts)
-	case JobKindPlan:
-		return j.runPlanJob(jb, opts)
-	case JobKindOptimize:
-		return j.runOptimizeJob(jb, opts)
-	case JobKindSeeds:
-		return j.runSeedsJob(jb, opts)
-	default:
-		return nil, fmt.Errorf("experiments: unknown job kind %q", jb.spec.Kind) // unreachable past Submit
-	}
+	return opts
 }
 
-// runCampaignJob executes a campaign exactly as cmd/experiments does —
-// NewCampaignLab, Simulate, Model per (machine, suite) — and condenses
-// the fits into the job result.
-func runCampaignJob(ctx context.Context, c Campaign, opts Options) (*CampaignJobResult, error) {
-	lab, err := campaignJobLab(c, opts)
-	if err != nil {
-		return nil, err
-	}
+// campaignResult executes a campaign lab exactly as cmd/experiments
+// does — Simulate, then Model per (machine, suite) — and condenses the
+// fits into the job result.
+func campaignResult(ctx context.Context, lab *Lab) (*CampaignJobResult, error) {
 	if err := lab.SimulateContext(ctx); err != nil {
 		return nil, err
 	}
@@ -760,107 +716,6 @@ func runCampaignJob(ctx context.Context, c Campaign, opts Options) (*CampaignJob
 		}
 	}
 	return out, nil
-}
-
-// runSweepJob executes a sweep exactly as cmd/sweep does (RunSweep) and
-// flattens the result into its serializable form.
-func runSweepJob(ctx context.Context, sw SweepSpec, opts Options) (*SweepJobResult, error) {
-	base, err := sw.Base.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunSweepContext(ctx, base, sw.Param, sw.Values, sw.Suite, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := &SweepJobResult{
-		Base:      res.Base,
-		Param:     res.Param.Name,
-		BaseValue: res.BaseValue,
-		Suite:     res.Suite,
-		Ops:       res.NumOps,
-	}
-	for _, p := range res.Points {
-		out.Points = append(out.Points, SweepJobPoint{
-			Value:      p.Value,
-			Machine:    p.Machine,
-			SimCPI:     p.SimCPI,
-			ModelCPI:   p.ModelCPI,
-			RelErr:     (p.ModelCPI - p.SimCPI) / p.SimCPI,
-			SimStack:   stackCPIs(p.SimStack),
-			ModelStack: stackCPIs(p.ModelStack),
-		})
-	}
-	return out, nil
-}
-
-// runPlanJob executes a plan exactly as cmd/sweep's grid mode does
-// (RunPlan, over the grid Submit already resolved) and flattens the
-// result into its serializable form. Cell progress was armed at
-// submission: every grid machine (the base fit point included) owes one
-// run per workload, and a machine draining to zero marks its cell done.
-func (j *Jobs) runPlanJob(jb *job, opts Options) (*PlanJobResult, error) {
-	res, err := RunPlanContext(jb.ctx, jb.plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := &PlanJobResult{
-		Base:       res.Base,
-		Suite:      res.Suite,
-		Ops:        res.NumOps,
-		Axes:       res.Axes,
-		BaseValues: res.BaseValues,
-	}
-	for _, pt := range res.Points {
-		out.Cells = append(out.Cells, PlanJobCell{
-			Values:     pt.Values,
-			Machine:    pt.Machine,
-			SimCPI:     pt.SimCPI,
-			ModelCPI:   pt.ModelCPI,
-			RelErr:     (pt.ModelCPI - pt.SimCPI) / pt.SimCPI,
-			SimStack:   stackCPIs(pt.SimStack),
-			ModelStack: stackCPIs(pt.ModelStack),
-		})
-	}
-	return out, nil
-}
-
-// runOptimizeJob executes a design-space search exactly as cmd/sweep's
-// -optimize mode does (RunOptimizeContext, over the search Submit
-// already resolved) and returns its wire report. The run counters flow
-// through the shared progress hook; the probe counter is fed by the
-// optimizer's own hook, firing after each full-fidelity probe batch.
-func (j *Jobs) runOptimizeJob(jb *job, opts Options) (*OptimizeReport, error) {
-	onProbe := func(done int) {
-		j.mu.Lock()
-		jb.progress.DoneProbes = done
-		j.mu.Unlock()
-	}
-	res, err := RunOptimizeContext(jb.ctx, jb.optimize, opts, onProbe)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report(), nil
-}
-
-// runSeedsJob executes a seed sweep exactly as cmd/sweep's -seeds mode
-// does (RunSeedsContext, over the sweep Submit already resolved) and
-// returns its wire report. The run counters flow through the shared
-// progress hook; the seed counter is fed by the sweep's own hook,
-// firing after each fully evaluated replication. A cancelled job keeps
-// every completed simulation in the store, so a resubmission resumes
-// warm.
-func (j *Jobs) runSeedsJob(jb *job, opts Options) (*SeedsReport, error) {
-	onSeed := func(done int) {
-		j.mu.Lock()
-		jb.progress.DoneSeeds = done
-		j.mu.Unlock()
-	}
-	res, err := RunSeedsContext(jb.ctx, jb.seeds, opts, onSeed)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report(), nil
 }
 
 // finishLocked moves jb to a terminal state and persists its artifact

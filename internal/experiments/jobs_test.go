@@ -63,6 +63,17 @@ func TestJobsSubmitValidation(t *testing.T) {
 		{"campaign with sweep payload", JobSpec{Kind: JobKindCampaign, Campaign: small,
 			Sweep: &SweepSpec{}}, "with a sweep payload"},
 		{"sweep without payload", JobSpec{Kind: JobKindSweep}, "without a sweep payload"},
+		{"sweep with plan payload", JobSpec{Kind: JobKindSweep, Sweep: &SweepSpec{},
+			Plan: &PlanSpec{}}, "with a plan payload"},
+		{"plan without payload", JobSpec{Kind: JobKindPlan}, "without a plan payload"},
+		{"plan with optimize payload", JobSpec{Kind: JobKindPlan, Plan: &PlanSpec{},
+			Optimize: &OptimizeSpec{}}, "with a optimize payload"},
+		{"optimize without payload", JobSpec{Kind: JobKindOptimize}, "without a optimize payload"},
+		{"optimize with seeds payload", JobSpec{Kind: JobKindOptimize, Optimize: &OptimizeSpec{},
+			Seeds: &SeedsSpec{}}, "with a seeds payload"},
+		{"seeds without payload", JobSpec{Kind: JobKindSeeds}, "without a seeds payload"},
+		{"seeds with campaign payload", JobSpec{Kind: JobKindSeeds, Seeds: &SeedsSpec{},
+			Campaign: small}, "with a campaign payload"},
 		{"unknown machine", JobSpec{Kind: JobKindCampaign, Campaign: &Campaign{
 			Machines: []MachineSpec{{Name: "core9"}}, Suites: []string{"cpu2000"}}}, "unknown machine"},
 		{"unknown suite", JobSpec{Kind: JobKindCampaign, Campaign: &Campaign{
@@ -80,6 +91,13 @@ func TestJobsSubmitValidation(t *testing.T) {
 				t.Errorf("Submit error = %v, want mention of %q", err, tc.wantErr)
 			}
 		})
+	}
+	// The unknown-kind error lists every valid kind.
+	_, err := jobs.Submit(JobSpec{Kind: "fleet"})
+	for _, kind := range []string{JobKindCampaign, JobKindSweep, JobKindPlan, JobKindOptimize, JobKindSeeds} {
+		if err == nil || !strings.Contains(err.Error(), `"`+kind+`"`) {
+			t.Errorf("unknown-kind error %v does not name kind %q", err, kind)
+		}
 	}
 	if got := len(jobs.List()); got != 0 {
 		t.Errorf("invalid submissions left %d jobs registered", got)
@@ -173,11 +191,18 @@ func TestJobsSweepRuns(t *testing.T) {
 	if st.Progress.TotalRuns != 3*48 {
 		t.Errorf("TotalRuns = %d, want 144 (base + 2 points)", st.Progress.TotalRuns)
 	}
+	// A sweep is a one-axis plan, so it reports cell progress too.
+	if st.Progress.TotalCells != 3 {
+		t.Errorf("TotalCells = %d, want 3 (base + 2 points)", st.Progress.TotalCells)
+	}
 	final := waitJob(t, jobs, st.ID, 60*time.Second)
 	if final.State != JobDone {
 		t.Fatalf("sweep finished %s (error %q)", final.State, final.Error)
 	}
-	var res SweepJobResult
+	if final.Progress.DoneCells != 3 {
+		t.Errorf("cell progress %+v, want 3/3", final.Progress)
+	}
+	var res SweepReport
 	if err := json.Unmarshal(final.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -452,12 +477,16 @@ func TestJobsPlanRunsWithCellProgress(t *testing.T) {
 	if final.Progress.DoneRuns != 60 {
 		t.Errorf("run progress %+v, want 60 done", final.Progress)
 	}
-	var res PlanJobResult
+	var res PlanReport
 	if err := json.Unmarshal(final.Result, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Base != "core2" || len(res.Axes) != 2 || len(res.Cells) != 4 {
 		t.Fatalf("plan result shape: %+v", res)
+	}
+	// The result carries the same run sourcing POST /v1/plan reports.
+	if res.Sims.StoreHits+res.Sims.Simulated != 60 {
+		t.Errorf("plan result sourcing %+v, want 60 runs", res.Sims)
 	}
 	for _, c := range res.Cells {
 		if len(c.Values) != 2 || c.SimCPI <= 0 || c.ModelCPI <= 0 ||

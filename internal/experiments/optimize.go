@@ -128,15 +128,11 @@ type Optimize struct {
 }
 
 // Resolve materializes the spec into a validated Optimize. Everything
-// that can be rejected without simulating — unknown machines, bogus
-// axes, underivable cells, contradictory objectives — is rejected here,
-// so the serving layer and job engine fail fast.
+// that can be rejected without simulating — unknown suites and
+// machines, bogus axes, underivable cells, contradictory objectives —
+// is rejected here, so the serving layer and job engine fail fast.
 func (spec OptimizeSpec) Resolve() (*Optimize, error) {
-	base, err := spec.Base.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	plan, err := NewPlan(base, spec.Axes, spec.Suite)
+	plan, err := PlanSpec{Base: spec.Base, Axes: spec.Axes, Suite: spec.Suite}.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -326,14 +322,6 @@ type OptimizeResult struct {
 	Stats SimStats
 }
 
-// RunSourcing is the wire form of SimStats, shared by the optimize
-// report and (aliased) the serving layer.
-type RunSourcing struct {
-	StoreHits int `json:"storeHits"`
-	Simulated int `json:"simulated"`
-	TraceGens int `json:"traceGens"`
-}
-
 // OptimizePointReport is the wire form of an OptimizePoint. RelErr is
 // signed (negative = the model under-predicts), matching the serving
 // convention.
@@ -388,8 +376,8 @@ func pointReport(p *OptimizePoint) *OptimizePointReport {
 		Distance:   p.Distance,
 		Refit:      p.Refit,
 		Feasible:   p.Feasible,
-		SimStack:   stackCPIs(p.SimStack),
-		ModelStack: stackCPIs(p.ModelStack),
+		SimStack:   StackCPIs(p.SimStack),
+		ModelStack: StackCPIs(p.ModelStack),
 	}
 }
 
@@ -410,11 +398,7 @@ func (r *OptimizeResult) Report() *OptimizeReport {
 		Truncated:  r.Truncated,
 		BaseCPI:    r.BaseCPI,
 		CPIBudget:  r.CPIBudget,
-		Sims: RunSourcing{
-			StoreHits: r.Stats.Hits,
-			Simulated: r.Stats.Simulated,
-			TraceGens: r.Stats.TraceGens,
-		},
+		Sims:       r.Stats.Sourcing(),
 	}
 	if r.Best != nil {
 		rep.Best = pointReport(r.Best)

@@ -77,15 +77,32 @@ func LoadPlanSpec(path string) (PlanSpec, error) {
 	return ps, nil
 }
 
-// Resolve materializes the spec into a validated Plan: the base machine
-// through the uarch registry, every axis through the param registry,
-// and the full cross product into derived machines.
+// Resolve materializes the spec into a validated Plan: the suite name
+// through the suite registry, the base machine through the uarch
+// registry, every axis through the param registry, and the full cross
+// product into derived machines.
 func (ps PlanSpec) Resolve() (*Plan, error) {
+	if _, err := suiteWorkloads(ps.Suite); err != nil {
+		return nil, err
+	}
 	base, err := ps.Base.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	return NewPlan(base, ps.Axes, ps.Suite)
+}
+
+// suiteWorkloads checks a suite name against the registry — failures
+// wrap suites.ErrUnknownSuite, which the serving layer classifies — and
+// returns the suite's workload count for run accounting. The roster
+// depends only on the name, never on ops or seed base, so the default
+// instantiation is the cheap one to ask.
+func suiteWorkloads(name string) (int, error) {
+	suite, err := suites.ByName(name, suites.Options{})
+	if err != nil {
+		return 0, err
+	}
+	return len(suite.Workloads), nil
 }
 
 // Plan is a validated, fully resolved exploration grid. Machines[0] is
@@ -219,6 +236,46 @@ type PlanResult struct {
 	NumOps     int
 	Points     []PlanPoint
 	Stats      SimStats
+}
+
+// PlanCellReport is one evaluated grid cell in wire form: its axis
+// values (aligned with the plan's axes) and the cell's CPIs and stacks.
+type PlanCellReport struct {
+	Values []int `json:"values"`
+	CellReport
+}
+
+// PlanReport is the wire form of a PlanResult — the one JSON shape
+// shared by POST /v1/plan responses, plan job results and cmd/sweep's
+// grid -json output. Cells appear row-major with the last axis fastest;
+// BaseValues is the fit point on each axis. Sims reports this plan's
+// run sourcing: on a warm store a whole grid answers with zero
+// simulations and zero trace generations.
+type PlanReport struct {
+	Base       string           `json:"base"`
+	Suite      string           `json:"suite"`
+	Ops        int              `json:"ops"`
+	Axes       []PlanAxis       `json:"axes"`
+	BaseValues []int            `json:"baseValues"`
+	Cells      []PlanCellReport `json:"cells"`
+	Sims       RunSourcing      `json:"sims"`
+}
+
+// Report flattens the result into its wire form.
+func (r *PlanResult) Report() *PlanReport {
+	rep := &PlanReport{
+		Base:       r.Base,
+		Suite:      r.Suite,
+		Ops:        r.NumOps,
+		Axes:       r.Axes,
+		BaseValues: r.BaseValues,
+		Sims:       r.Stats.Sourcing(),
+	}
+	for _, pt := range r.Points {
+		rep.Cells = append(rep.Cells, PlanCellReport{Values: pt.Values,
+			CellReport: cellReport(pt.Machine, pt.SimCPI, pt.ModelCPI, pt.SimStack, pt.ModelStack)})
+	}
+	return rep
 }
 
 // RunPlan simulates the plan's base and every grid cell on its suite

@@ -262,17 +262,11 @@ func (p *Provider) OptimizeContext(ctx context.Context, o *Optimize, onProbe fun
 	return res, nil
 }
 
-// Sweep runs a one-axis sensitivity sweep through the provider — a
-// single-axis Plan projected into the sweep shape, exactly as RunSweep
-// adapts RunPlan, so daemon and CLI sweeps stay bit-identical.
-func (p *Provider) Sweep(base *uarch.Machine, param string, values []int, suiteName string) (*SweepResult, error) {
-	// Validate and derive the grid before touching the expensive fit
-	// path: a bogus parameter or value list must not cost a suite
-	// simulation.
-	plan, err := NewPlan(base, []PlanAxis{{Param: param, Values: values}}, suiteName)
-	if err != nil {
-		return nil, err
-	}
+// Sweep runs a one-axis sensitivity sweep through the provider: the
+// already-validated one-axis plan (SweepSpec.Resolve) runs through Plan
+// and is projected into the sweep shape, exactly as RunSweep adapts
+// RunPlan, so daemon and CLI sweeps stay bit-identical.
+func (p *Provider) Sweep(plan *Plan) (*SweepResult, error) {
 	res, err := p.Plan(plan)
 	if err != nil {
 		return nil, err

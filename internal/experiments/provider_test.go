@@ -191,8 +191,12 @@ func TestProviderSweepMatchesRunSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	plan, err := NewPlan(m, []PlanAxis{{Param: "rob", Values: values}}, "cpu2000")
+	if err != nil {
+		t.Fatal(err)
+	}
 	prov := NewProvider(opts)
-	got, err := prov.Sweep(m, "rob", values, "cpu2000")
+	got, err := prov.Sweep(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +222,7 @@ func TestProviderSweepMatchesRunSweep(t *testing.T) {
 	if fitsAfterOne != 1 {
 		t.Errorf("sweep fitted %d models, want 1", fitsAfterOne)
 	}
-	if _, err := prov.Sweep(m, "rob", values, "cpu2000"); err != nil {
+	if _, err := prov.Sweep(plan); err != nil {
 		t.Fatal(err)
 	}
 	if st := prov.Stats(); st.Fits != 1 {
@@ -241,18 +245,27 @@ func TestProviderErrorsAreNotCached(t *testing.T) {
 }
 
 // TestProviderSweepValidatesBeforeFitting: a bogus sweep request must
-// fail before the provider spends a suite simulation and fit on it.
+// fail before the provider spends a suite simulation and fit on it —
+// Provider.Sweep takes the plan SweepSpec.Resolve validated, so every
+// rejection lands there.
 func TestProviderSweepValidatesBeforeFitting(t *testing.T) {
 	prov := NewProvider(Options{NumOps: 1000, FitStarts: 2})
-	m := testMachine(t, "core2")
-	if _, err := prov.Sweep(m, "bogus", []int{64}, "cpu2000"); err == nil {
-		t.Fatal("unknown sweep param should fail")
-	}
-	if _, err := prov.Sweep(m, "rob", []int{0}, "cpu2000"); err == nil {
-		t.Fatal("non-positive sweep value should fail")
-	}
-	if _, err := prov.Sweep(m, "rob", nil, "cpu2000"); err == nil {
-		t.Fatal("empty sweep values should fail")
+	base := MachineSpec{Name: "core2"}
+	for _, tc := range []struct {
+		name string
+		spec SweepSpec
+	}{
+		{"unknown sweep param", SweepSpec{Base: base, Param: "bogus", Values: []int{64}, Suite: "cpu2000"}},
+		{"non-positive sweep value", SweepSpec{Base: base, Param: "rob", Values: []int{0}, Suite: "cpu2000"}},
+		{"empty sweep values", SweepSpec{Base: base, Param: "rob", Suite: "cpu2000"}},
+		{"unknown suite", SweepSpec{Base: base, Param: "rob", Values: []int{64}, Suite: "no-such-suite"}},
+	} {
+		plan, err := tc.spec.Resolve()
+		if err == nil {
+			_, err = prov.Sweep(plan)
+			t.Errorf("%s: resolved to a %d-machine plan (sweep error %v), want a resolve error",
+				tc.name, len(plan.Machines), err)
+		}
 	}
 	if st := prov.Stats(); st.Fits != 0 || st.Sim.Simulated != 0 {
 		t.Errorf("invalid sweeps spent work: fits=%d simulated=%d, want 0/0",

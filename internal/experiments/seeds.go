@@ -133,11 +133,8 @@ func (spec SeedsSpec) Resolve() (*Seeds, error) {
 		return nil, fmt.Errorf("experiments: seeds need a base+suite or a campaign")
 	}
 
-	// Suite names are validated through the registry here (yielding the
-	// ErrUnknownSuite sentinel the serving layer classifies), and the
-	// per-seed workload count is recorded for run accounting. The
-	// workload roster depends only on the suite name, never on ops or
-	// seed base, so the default instantiation is the cheap one to ask.
+	// Suite names are validated through the registry here, and the
+	// per-seed workload count is recorded for run accounting.
 	for _, name := range s.Suites {
 		// Seed sweeps redraw every workload from a shifted seed base,
 		// which a recorded trace file cannot do — reject file-backed
@@ -146,11 +143,11 @@ func (spec SeedsSpec) Resolve() (*Seeds, error) {
 		if suites.IsFileBacked(name) {
 			return nil, fmt.Errorf("experiments: suite %q is file-backed: recorded traces cannot be re-seeded for a seed sweep", name)
 		}
-		suite, err := suites.ByName(name, suites.Options{})
+		n, err := suiteWorkloads(name)
 		if err != nil {
 			return nil, err
 		}
-		s.runsPerMachine += len(suite.Workloads)
+		s.runsPerMachine += n
 	}
 
 	switch {
@@ -304,11 +301,7 @@ func (r *SeedsResult) Report() *SeedsReport {
 		Machines:  r.Machines,
 		Suites:    r.Suites,
 		Cells:     r.Cells,
-		Sims: RunSourcing{
-			StoreHits: r.Stats.Hits,
-			Simulated: r.Stats.Simulated,
-			TraceGens: r.Stats.TraceGens,
-		},
+		Sims:      r.Stats.Sourcing(),
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -44,6 +43,38 @@ type SweepResult struct {
 	Stats     SimStats
 }
 
+// SweepSpec declares a one-axis sweep: the base machine spec, the
+// swept axis, the swept values, and the suite — exactly cmd/sweep's
+// flags as JSON, and the schema of POST /v1/sweep bodies and sweep job
+// payloads.
+type SweepSpec struct {
+	Base   MachineSpec `json:"base"`
+	Param  string      `json:"param"`
+	Values []int       `json:"values"`
+	Suite  string      `json:"suite"`
+}
+
+// Resolve materializes the spec into the validated one-axis Plan every
+// surface executes: base machine, axis, suite and values are checked in
+// that order, each before anything simulates, and every swept machine
+// is derived.
+func (sw SweepSpec) Resolve() (*Plan, error) {
+	base, err := sw.Base.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := SweepParamByName(sw.Param); err != nil {
+		return nil, err
+	}
+	if _, err := suiteWorkloads(sw.Suite); err != nil {
+		return nil, err
+	}
+	if err := ValidateSweepValues(sw.Values); err != nil {
+		return nil, err
+	}
+	return NewPlan(base, []PlanAxis{{Param: sw.Param, Values: sw.Values}}, sw.Suite)
+}
+
 // RunSweep simulates base and one derived machine per value on the named
 // suite (through opts.Store when configured, so reruns are incremental),
 // fits the model at base, and evaluates it at every point. It is a thin
@@ -53,19 +84,11 @@ type SweepResult struct {
 // caller that wants the base fit cached and deduplicated across sweeps,
 // use Provider.Sweep.
 func RunSweep(base *uarch.Machine, param string, values []int, suiteName string, opts Options) (*SweepResult, error) {
-	return RunSweepContext(context.Background(), base, param, values, suiteName, opts)
-}
-
-// RunSweepContext is RunSweep with cancellation: cancelling ctx stops
-// the dispatch of new point simulations and skips the fit, returning
-// ctx.Err(). Completed simulations stay in the store, so a rerun
-// resumes warm. The async Jobs engine runs sweep jobs through here.
-func RunSweepContext(ctx context.Context, base *uarch.Machine, param string, values []int, suiteName string, opts Options) (*SweepResult, error) {
 	p, err := NewPlan(base, []PlanAxis{{Param: param, Values: values}}, suiteName)
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunPlanContext(ctx, p, opts)
+	res, err := RunPlan(p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -76,8 +99,7 @@ func RunSweepContext(ctx context.Context, base *uarch.Machine, param string, val
 // run: empty, non-positive (overrides treat zero as "keep base", which
 // would silently mislabel the point as a second base run), or
 // duplicated (which would silently double-simulate the same cell).
-// This is the single validation source for plans, sweeps and the
-// serving layer's request checking.
+// This is the single validation source for plan axes and sweeps.
 func ValidateSweepValues(values []int) error {
 	if len(values) == 0 {
 		return fmt.Errorf("experiments: sweep needs at least one value")
@@ -125,6 +147,41 @@ func sweepFromPlan(res *PlanResult) (*SweepResult, error) {
 		})
 	}
 	return out, nil
+}
+
+// SweepPointReport is one swept configuration in wire form: its value
+// and the point's CPIs and stacks.
+type SweepPointReport struct {
+	Value int `json:"value"`
+	CellReport
+}
+
+// SweepReport is the wire form of a SweepResult — the one JSON shape
+// shared by POST /v1/sweep responses, sweep job results and cmd/sweep's
+// one-axis -json output.
+type SweepReport struct {
+	Base      string             `json:"base"`
+	Param     string             `json:"param"`
+	BaseValue int                `json:"baseValue"`
+	Suite     string             `json:"suite"`
+	Ops       int                `json:"ops"`
+	Points    []SweepPointReport `json:"points"`
+}
+
+// Report flattens the result into its wire form.
+func (r *SweepResult) Report() *SweepReport {
+	rep := &SweepReport{
+		Base:      r.Base,
+		Param:     r.Param.Name,
+		BaseValue: r.BaseValue,
+		Suite:     r.Suite,
+		Ops:       r.NumOps,
+	}
+	for _, p := range r.Points {
+		rep.Points = append(rep.Points, SweepPointReport{Value: p.Value,
+			CellReport: cellReport(p.Machine, p.SimCPI, p.ModelCPI, p.SimStack, p.ModelStack)})
+	}
+	return rep
 }
 
 // Render returns the sensitivity tables as text: suite-mean simulated vs

@@ -320,18 +320,7 @@ type PredictRequest struct {
 }
 
 // StackEntry is one CPI-stack component, in stack order (base first).
-type StackEntry struct {
-	Component string  `json:"component"`
-	CPI       float64 `json:"cpi"`
-}
-
-func stackEntries(st sim.Stack) []StackEntry {
-	out := make([]StackEntry, 0, sim.NumComponents)
-	for _, c := range sim.Components() {
-		out = append(out, StackEntry{Component: c.String(), CPI: st.Cycles[c]})
-	}
-	return out
-}
+type StackEntry = experiments.StackCPI
 
 // WorkloadPrediction is the model's answer for one workload: measured
 // (counter-derived) CPI, the model's prediction, and the predicted
@@ -514,90 +503,51 @@ func predictWorkload(m *core.Model, o *core.Observation) WorkloadPrediction {
 		MeasuredCPI:  o.MeasuredCPI,
 		PredictedCPI: pred,
 		RelErr:       (pred - o.MeasuredCPI) / o.MeasuredCPI,
-		Stack:        stackEntries(m.Stack(o.Feat)),
+		Stack:        experiments.StackCPIs(m.Stack(o.Feat)),
 	}
 }
 
-// SweepRequest asks for a one-axis sensitivity sweep: the model is
-// fitted at the base machine and extrapolated to each derived value.
-type SweepRequest struct {
-	Base   experiments.MachineSpec `json:"base"`
-	Param  string                  `json:"param"`
-	Values []int                   `json:"values"`
-	Suite  string                  `json:"suite"`
-}
-
-// SweepPointResponse is one swept configuration: simulated vs
-// model-extrapolated suite-mean CPI and stacks. RelErr is signed,
-// matching WorkloadPrediction (negative = model under-predicts).
-type SweepPointResponse struct {
-	Value      int          `json:"value"`
-	Machine    string       `json:"machine"`
-	SimCPI     float64      `json:"simCPI"`
-	ModelCPI   float64      `json:"modelCPI"`
-	RelErr     float64      `json:"relErr"`
-	SimStack   []StackEntry `json:"simStack"`
-	ModelStack []StackEntry `json:"modelStack"`
-}
-
-// SweepResponse is the POST /v1/sweep body.
-type SweepResponse struct {
-	Base      string               `json:"base"`
-	Param     string               `json:"param"`
-	BaseValue int                  `json:"baseValue"`
-	Suite     string               `json:"suite"`
-	Ops       int                  `json:"ops"`
-	Points    []SweepPointResponse `json:"points"`
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.reqs.sweep.Add(1)
-	var req SweepRequest
+// serveOp is the one path every synchronous grid operation (sweep,
+// plan, optimize, seeds) takes: strict-decode the request, resolve it —
+// every validation, before anything simulates, so a bad request answers
+// 400 and costs nothing — then run it through the provider and answer
+// with the operation's report.
+func serveOp[Req, Op any](w http.ResponseWriter, r *http.Request, resolve func(*Req) (Op, error), run func(Op) (any, error)) {
+	var req Req
 	if err := decodeStrict(r, w, &req); err != nil {
 		badRequest(w, err)
 		return
 	}
-	base, err := req.Base.Resolve()
+	op, err := resolve(&req)
 	if err != nil {
 		badRequest(w, err)
 		return
 	}
-	if _, err := experiments.SweepParamByName(req.Param); err != nil {
-		badRequest(w, err)
-		return
-	}
-	if _, err := suites.ByName(req.Suite, suites.Options{NumOps: s.prov.Opts().NumOps}); err != nil {
-		badRequest(w, err)
-		return
-	}
-	if err := experiments.ValidateSweepValues(req.Values); err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := s.prov.Sweep(base, req.Param, req.Values, req.Suite)
+	rep, err := run(op)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	resp := SweepResponse{
-		Base:      res.Base,
-		Param:     res.Param.Name,
-		BaseValue: res.BaseValue,
-		Suite:     res.Suite,
-		Ops:       res.NumOps,
-	}
-	for _, p := range res.Points {
-		resp.Points = append(resp.Points, SweepPointResponse{
-			Value:      p.Value,
-			Machine:    p.Machine,
-			SimCPI:     p.SimCPI,
-			ModelCPI:   p.ModelCPI,
-			RelErr:     (p.ModelCPI - p.SimCPI) / p.SimCPI,
-			SimStack:   stackEntries(p.SimStack),
-			ModelStack: stackEntries(p.ModelStack),
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, rep)
+}
+
+// SweepRequest is the POST /v1/sweep body: a one-axis sensitivity
+// sweep — the model is fitted at the base machine and extrapolated to
+// each derived value.
+type SweepRequest = experiments.SweepSpec
+
+// SweepResponse is the POST /v1/sweep body.
+type SweepResponse = experiments.SweepReport
+
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	s.reqs.sweep.Add(1)
+	serveOp(w, r, (*SweepRequest).Resolve, func(p *experiments.Plan) (any, error) {
+		res, err := s.prov.Sweep(p)
+		if err != nil {
+			return nil, err
+		}
+		return res.Report(), nil
+	})
 }
 
 // PlanRequest is the POST /v1/plan body: a declarative multi-axis
@@ -606,91 +556,27 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // duplicate-free values.
 type PlanRequest = experiments.PlanSpec
 
-// PlanCellResponse is one evaluated grid cell: its axis values (aligned
-// with the request's axes), the derived machine, and simulated vs
-// model-extrapolated suite-mean CPI and stacks. RelErr is signed,
-// matching WorkloadPrediction (negative = model under-predicts).
-type PlanCellResponse struct {
-	Values     []int        `json:"values"`
-	Machine    string       `json:"machine"`
-	SimCPI     float64      `json:"simCPI"`
-	ModelCPI   float64      `json:"modelCPI"`
-	RelErr     float64      `json:"relErr"`
-	SimStack   []StackEntry `json:"simStack"`
-	ModelStack []StackEntry `json:"modelStack"`
-}
-
 // PlanResponse is the POST /v1/plan body: the model fitted once at the
-// base machine and extrapolated to every cell of the crossed grid.
-// Cells appear row-major with the last axis fastest; BaseValues is the
-// fit point on each axis. Sims reports this plan's run sourcing — on a
-// warm store a whole grid answers with zero simulations and zero trace
-// generations.
-type PlanResponse struct {
-	Base       string                 `json:"base"`
-	Suite      string                 `json:"suite"`
-	Ops        int                    `json:"ops"`
-	Axes       []experiments.PlanAxis `json:"axes"`
-	BaseValues []int                  `json:"baseValues"`
-	Cells      []PlanCellResponse     `json:"cells"`
-	Sims       SimSourcing            `json:"sims"`
-}
+// base machine and extrapolated to every cell of the crossed grid, with
+// this plan's run sourcing.
+type PlanResponse = experiments.PlanReport
 
-// PlanResponseFrom converts an executed plan into the wire shape. It is
-// exported so cmd/sweep's -json plan mode emits byte-identical reports
-// to POST /v1/plan — the determinism harness (make sim-nondeterminism)
-// diffs that JSON across GOMAXPROCS settings.
+// PlanResponseFrom converts an executed plan into the wire shape: the
+// plan's Report, by value. perfbench's replica builds the daemon's
+// exact answer offline through it.
 func PlanResponseFrom(res *experiments.PlanResult) PlanResponse {
-	resp := PlanResponse{
-		Base:       res.Base,
-		Suite:      res.Suite,
-		Ops:        res.NumOps,
-		Axes:       res.Axes,
-		BaseValues: res.BaseValues,
-		Sims: SimSourcing{
-			StoreHits: res.Stats.Hits,
-			Simulated: res.Stats.Simulated,
-			TraceGens: res.Stats.TraceGens,
-		},
-	}
-	for _, pt := range res.Points {
-		resp.Cells = append(resp.Cells, PlanCellResponse{
-			Values:     pt.Values,
-			Machine:    pt.Machine,
-			SimCPI:     pt.SimCPI,
-			ModelCPI:   pt.ModelCPI,
-			RelErr:     (pt.ModelCPI - pt.SimCPI) / pt.SimCPI,
-			SimStack:   stackEntries(pt.SimStack),
-			ModelStack: stackEntries(pt.ModelStack),
-		})
-	}
-	return resp
+	return *res.Report()
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.reqs.plan.Add(1)
-	var req PlanRequest
-	if err := decodeStrict(r, w, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	if _, err := suites.ByName(req.Suite, suites.Options{NumOps: s.prov.Opts().NumOps}); err != nil {
-		badRequest(w, err)
-		return
-	}
-	// Resolve validates everything else — base machine, axis names,
-	// values, grid size, cell derivability — before anything simulates.
-	plan, err := req.Resolve()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := s.prov.Plan(plan)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, PlanResponseFrom(res))
+	serveOp(w, r, (*PlanRequest).Resolve, func(p *experiments.Plan) (any, error) {
+		res, err := s.prov.Plan(p)
+		if err != nil {
+			return nil, err
+		}
+		return res.Report(), nil
+	})
 }
 
 // OptimizeRequest is the POST /v1/optimize body: a declarative
@@ -705,28 +591,13 @@ type OptimizeResponse = experiments.OptimizeReport
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.reqs.optimize.Add(1)
-	var req OptimizeRequest
-	if err := decodeStrict(r, w, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	if _, err := suites.ByName(req.Suite, suites.Options{NumOps: s.prov.Opts().NumOps}); err != nil {
-		badRequest(w, err)
-		return
-	}
-	// Resolve validates everything else — base machine, axes, objective,
-	// search knobs, cell derivability — before anything simulates.
-	o, err := req.Resolve()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := s.prov.Optimize(o)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Report())
+	serveOp(w, r, (*OptimizeRequest).Resolve, func(o *experiments.Optimize) (any, error) {
+		res, err := s.prov.Optimize(o)
+		if err != nil {
+			return nil, err
+		}
+		return res.Report(), nil
+	})
 }
 
 // SeedsRequest is the POST /v1/seeds body: a declarative seed-sweep
@@ -743,24 +614,13 @@ type SeedsResponse = experiments.SeedsReport
 
 func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	s.reqs.seeds.Add(1)
-	var req SeedsRequest
-	if err := decodeStrict(r, w, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	// Resolve validates everything — subject machines, suite names (via
-	// the registry sentinels), the seed list — before anything simulates.
-	sweep, err := req.Resolve()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := s.prov.Seeds(r.Context(), sweep, nil)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Report())
+	serveOp(w, r, (*SeedsRequest).Resolve, func(sw *experiments.Seeds) (any, error) {
+		res, err := s.prov.Seeds(r.Context(), sw, nil)
+		if err != nil {
+			return nil, err
+		}
+		return res.Report(), nil
+	})
 }
 
 // JobSubmitRequest is the POST /v1/jobs body: a job spec, strict-decoded
@@ -876,13 +736,8 @@ type ModelStats struct {
 }
 
 // SimSourcing reports where simulation runs came from, and how many
-// µop streams were actually generated to serve them (shared trace
-// buffers count one generation per workload, not per machine).
-type SimSourcing struct {
-	StoreHits int `json:"storeHits"`
-	Simulated int `json:"simulated"`
-	TraceGens int `json:"traceGens"`
-}
+// µop streams were actually generated to serve them.
+type SimSourcing = experiments.RunSourcing
 
 // StoreStats mirrors the run store's counters (present only when the
 // daemon runs with a store).
@@ -927,7 +782,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Stats:     s.reqs.stats.Load(),
 		},
 		Models: ModelStats{Cached: s.prov.CachedModels(), Fits: ps.Fits, Hits: ps.ModelHits},
-		Sims:   SimSourcing{StoreHits: ps.Sim.Hits, Simulated: ps.Sim.Simulated, TraceGens: ps.Sim.TraceGens},
+		Sims:   ps.Sim.Sourcing(),
 	}
 	if store := s.prov.Opts().Store; store != nil {
 		st := store.Stats()

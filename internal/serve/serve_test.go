@@ -353,6 +353,7 @@ func TestRequestValidation(t *testing.T) {
 		{"no sweep values", "/v1/sweep", `{"base": {"name": "core2"}, "param": "rob", "values": [], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "at least one value"},
 		{"negative sweep value", "/v1/sweep", `{"base": {"name": "core2"}, "param": "rob", "values": [-8], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "must be positive"},
 		{"duplicate sweep value", "/v1/sweep", `{"base": {"name": "core2"}, "param": "rob", "values": [64, 64], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "listed twice"},
+		{"underivable sweep cell", "/v1/sweep", `{"base": {"name": "core2"}, "param": "l2kb", "values": [3], "suite": "cpu2000"}`, http.StatusBadRequest, CodeBadRequest, "derive"},
 		{"optimize unknown objective", "/v1/optimize", `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96]}], "suite": "cpu2000", "objective": {"kind": "max-fun"}}`, http.StatusBadRequest, CodeBadRequest, "unknown objective kind"},
 		{"optimize unknown suite", "/v1/optimize", `{"base": {"name": "core2"}, "axes": [{"param": "rob", "values": [48, 96]}], "suite": "cpu2017", "objective": {"kind": "min-cpi"}}`, http.StatusBadRequest, CodeUnknownSuite, "unknown suite"},
 		{"optimize unknown base", "/v1/optimize", `{"base": {"name": "core9"}, "axes": [{"param": "rob", "values": [48, 96]}], "suite": "cpu2000", "objective": {"kind": "min-cpi"}}`, http.StatusBadRequest, CodeUnknownMachine, "unknown machine"},
