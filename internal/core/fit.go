@@ -91,16 +91,17 @@ func Fit(machine uarch.ModelParams, obs []Observation, opts FitOptions) (*Model,
 	return m, nil
 }
 
-// modelEvaluator returns a closure mapping a raw parameter vector to the
-// per-observation CPI predictions, honouring the ablation switches.
-func modelEvaluator(machine uarch.ModelParams, obs []Observation, opts FitOptions) func([]float64) []float64 {
-	return func(params []float64) []float64 {
-		m := Model{Machine: machine, P: paramsFromSlice(params), ablation: ablationFrom(opts)}
-		out := make([]float64, len(obs))
+// modelEvaluator returns a function writing the per-observation CPI
+// predictions for a raw parameter vector into out, honouring the
+// ablation switches. It touches nothing but out, so concurrent calls
+// with distinct outs are safe.
+func modelEvaluator(machine uarch.ModelParams, obs []Observation, opts FitOptions) func(params, out []float64) {
+	abl := ablationFrom(opts)
+	return func(params, out []float64) {
+		m := Model{Machine: machine, P: paramsFromSlice(params), ablation: abl}
 		for i, o := range obs {
 			out[i] = m.PredictCPI(o.Feat)
 		}
-		return out
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/perfctr"
@@ -91,6 +92,49 @@ func TestFitDeterministic(t *testing.T) {
 	}
 	if a.P != b.P {
 		t.Errorf("fits differ:\n%+v\n%+v", a.P, b.P)
+	}
+}
+
+// pinnedFitBits are the math.Float64bits of the b1..b10 that
+// TestFitBitsPinned fits, recorded from a sequential multi-start fit.
+// A mismatch means a float the goldens and the stored reports are built
+// from has changed.
+var pinnedFitBits = []struct {
+	name string
+	opts FitOptions
+	bits [10]uint64
+}{
+	{"full", FitOptions{}, [10]uint64{0x40325ab4900c1afd, 0x3f6e252831b70495, 0x0000000000000000, 0x0000000000000000, 0x3ff3d097645a9761, 0x0000000000000000, 0x3f96f8a5474b7b82, 0x3fa5657f36349c44, 0x400d0c1d23ea5153, 0x404be12587c15c7e}},
+	{"additive-branch", FitOptions{AdditiveBranch: true}, [10]uint64{0x403276f9c0fd4094, 0x3f32b2f7c564d153, 0x0000000000000000, 0x0000000000000000, 0x3ff995ebbaf3137a, 0x3fa5cd604ab33fee, 0x3f96f01ed814e77d, 0x3fa4dc952860273e, 0x400c97529d987444, 0x404d0eb0b53fdd0c}},
+	{"constant-mlp", FitOptions{ConstantMLP: true}, [10]uint64{0x40325d4c90254dca, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x3fa999999999999a, 0x3fa7787a2d8862cd, 0x3f9631b28cbcb4f0, 0x3fa49a0933a74054, 0x400a68a35fa54363, 0x404f8c1aa41c34a1}},
+	{"unscaled-stall", FitOptions{UnscaledStall: true}, [10]uint64{0x40042d9bcb70ff2a, 0x3fd6f04121bc7f33, 0x0000000000000000, 0x0000000000000000, 0x4006dd9f15b725ad, 0x3fa05b0efd5368e4, 0x3fb402b0ebc9c508, 0x3f9baa6c41a3e259, 0x4016496c83499971, 0x402f4feb5c511c70}},
+	{"no-window-cap", FitOptions{NoWindowCap: true}, [10]uint64{0x40325a0f38632995, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x401f210714b0ee74, 0x0000000000000000, 0x3fd252202b924359, 0x3fa4f0834aca916a, 0x400aabd479099697, 0x404e83016dad6075}},
+}
+
+// TestFitBitsPinned holds every fitted parameter, bit for bit, for the
+// paper's model and each ablation switch, at one, two and eight Ps: the
+// multi-starts run concurrently, and neither the worker count nor the
+// scheduling may leak into a single float.
+func TestFitBitsPinned(t *testing.T) {
+	obs, _ := syntheticObservations(24, 21, 0.08)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range pinnedFitBits {
+			opts := c.opts
+			opts.Starts, opts.Seed = 4, 5
+			m, err := Fit(testMachineParams(), obs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range m.P.Slice() {
+				if got := math.Float64bits(v); got != c.bits[i] {
+					t.Errorf("GOMAXPROCS=%d %s: %s bits %#016x (%v), pinned %#016x (%v)",
+						procs, c.name, ParamNames()[i], got, v, c.bits[i], math.Float64frombits(c.bits[i]))
+				}
+			}
+		}
 	}
 }
 

@@ -119,11 +119,16 @@ func (m *Model) missCPI(f Features) float64 {
 // a full ROB/issue queue, scaled down by the fraction of time already
 // spent handling miss events.
 func (m *Model) ResourceStall(f Features) float64 {
+	return m.resourceStall(f, m.missCPI(f))
+}
+
+// resourceStall is ResourceStall given the workload's missCPI (Eq. 6,
+// per µop), which PredictCPI has already computed.
+func (m *Model) resourceStall(f Features, cmiss float64) float64 {
 	cstall := m.P.B8 * (1 + m.P.B9*f.FP) * (1 + m.P.B10*f.MpuDL1) // Eq. 5 (per µop)
 	if m.ablation.unscaledStall {
 		return cstall
 	}
-	cmiss := m.missCPI(f) // Eq. 6 (per µop)
 	base := 1 / float64(m.Machine.DispatchWidth)
 	scale := 1 - cmiss/(base+cstall)
 	if scale < 0 {
@@ -134,7 +139,8 @@ func (m *Model) ResourceStall(f Features) float64 {
 
 // PredictCPI evaluates Eq. 1 normalized per µop.
 func (m *Model) PredictCPI(f Features) float64 {
-	return 1/float64(m.Machine.DispatchWidth) + m.missCPI(f) + m.ResourceStall(f)
+	cmiss := m.missCPI(f)
+	return 1/float64(m.Machine.DispatchWidth) + cmiss + m.resourceStall(f, cmiss)
 }
 
 // PredictAll evaluates the model on each observation's features.

@@ -172,25 +172,38 @@ func LevenbergMarquardt(resid ResidualFunc, x0 []float64, bounds Bounds, opts LM
 // model's free parameters. It combines multi-start Nelder–Mead with a
 // Levenberg–Marquardt polish.
 //
-// predict maps parameters to a prediction vector aligned with measured.
-func MinimizeRelSq(predict func(params []float64) []float64, measured []float64,
+// predict writes the predictions for params into out, which is aligned
+// with measured. The multi-starts call it concurrently, each with its
+// own out, so it must not write anywhere else.
+func MinimizeRelSq(predict func(params, out []float64), measured []float64,
 	x0 []float64, bounds Bounds, opts MultiStartOptions) Result {
 
-	resid := func(params []float64) []float64 {
-		pred := predict(params)
-		out := make([]float64, len(pred))
+	den := make([]float64, len(measured))
+	for i, y := range measured {
+		den[i] = math.Sqrt(math.Abs(y))
+		if den[i] == 0 {
+			den[i] = 1
+		}
+	}
+	residInto := func(params, pred, out []float64) []float64 {
+		predict(params, pred)
 		for i := range pred {
-			den := math.Sqrt(math.Abs(measured[i]))
-			if den == 0 {
-				den = 1
-			}
-			out[i] = (pred[i] - measured[i]) / den
+			out[i] = (pred[i] - measured[i]) / den[i]
 		}
 		return out
 	}
-	obj := func(params []float64) float64 { return sumSq(resid(params)) }
+	newObjective := func() Objective {
+		pred := make([]float64, len(measured))
+		resid := make([]float64, len(measured))
+		return func(params []float64) float64 { return sumSq(residInto(params, pred, resid)) }
+	}
+	// LevenbergMarquardt holds on to the residual vectors it is handed,
+	// so its residual function returns fresh ones.
+	resid := func(params []float64) []float64 {
+		return residInto(params, make([]float64, len(measured)), make([]float64, len(measured)))
+	}
 
-	best := MultiStartNelderMead(obj, x0, bounds, opts)
+	best := MultiStartNelderMead(newObjective, x0, bounds, opts)
 	polished := LevenbergMarquardt(resid, best.Params, bounds, LMOptions{})
 	if polished.Value < best.Value {
 		polished.Iters += best.Iters

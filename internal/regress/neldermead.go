@@ -3,7 +3,10 @@ package regress
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -21,15 +24,20 @@ type Bounds struct {
 // Clamp returns a copy of p with every coordinate clamped into the box.
 func (b Bounds) Clamp(p []float64) []float64 {
 	out := append([]float64(nil), p...)
-	for i := range out {
-		if i < len(b.Lo) && out[i] < b.Lo[i] {
-			out[i] = b.Lo[i]
+	b.clampInPlace(out)
+	return out
+}
+
+// clampInPlace clamps every coordinate of p into the box.
+func (b Bounds) clampInPlace(p []float64) {
+	for i := range p {
+		if i < len(b.Lo) && p[i] < b.Lo[i] {
+			p[i] = b.Lo[i]
 		}
-		if i < len(b.Hi) && out[i] > b.Hi[i] {
-			out[i] = b.Hi[i]
+		if i < len(b.Hi) && p[i] > b.Hi[i] {
+			p[i] = b.Hi[i]
 		}
 	}
-	return out
 }
 
 // Contains reports whether p lies inside the box.
@@ -72,9 +80,23 @@ type Result struct {
 	Iters  int
 }
 
+// simplexOrder sorts vertex indices by objective value. NelderMead
+// reuses one across iterations; sort.Sort runs the same pdqsort as
+// sort.Slice, so ties break exactly as they always have.
+type simplexOrder struct {
+	idx  []int
+	vals []float64
+}
+
+func (o *simplexOrder) Len() int           { return len(o.idx) }
+func (o *simplexOrder) Less(a, b int) bool { return o.vals[o.idx[a]] < o.vals[o.idx[b]] }
+func (o *simplexOrder) Swap(a, b int)      { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
+
 // NelderMead minimizes f starting from x0 inside bounds using the standard
 // simplex method (reflection/expansion/contraction/shrink with the usual
-// coefficients 1, 2, 0.5, 0.5).
+// coefficients 1, 2, 0.5, 0.5). Past the initial simplex it allocates
+// nothing: trial points live in reused buffers, and an accepted one is
+// copied into the worst vertex's row.
 func NelderMead(f Objective, x0 []float64, bounds Bounds, opts NMOptions) Result {
 	opts = opts.withDefaults()
 	n := len(x0)
@@ -82,7 +104,8 @@ func NelderMead(f Objective, x0 []float64, bounds Bounds, opts NMOptions) Result
 		panic("regress: NelderMead needs at least one parameter")
 	}
 	eval := func(p []float64) float64 {
-		v := f(bounds.Clamp(p))
+		bounds.clampInPlace(p)
+		v := f(p)
 		if math.IsNaN(v) {
 			return math.Inf(1)
 		}
@@ -101,17 +124,40 @@ func NelderMead(f Objective, x0 []float64, bounds Bounds, opts NMOptions) Result
 			step = opts.Scale
 		}
 		v[i] += step
-		simplex[i+1] = bounds.Clamp(v)
-		vals[i+1] = eval(simplex[i+1])
+		simplex[i+1] = v
+		vals[i+1] = eval(v)
 	}
 
-	order := make([]int, n+1)
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		for i := range order {
-			order[i] = i
+	order := &simplexOrder{idx: make([]int, n+1), vals: vals}
+	centroid := make([]float64, n)
+	refl := make([]float64, n)
+	exp := make([]float64, n)
+	con := make([]float64, n)
+	combine := func(p []float64, alpha float64, worst []float64) float64 {
+		for j := range p {
+			p[j] = centroid[j] + alpha*(centroid[j]-worst[j])
 		}
-		sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
-		best, worst, second := order[0], order[n], order[n-1]
+		return eval(p)
+	}
+	shrink := func(best int) {
+		for _, idx := range order.idx[1:] {
+			for j := range simplex[idx] {
+				simplex[idx][j] = simplex[best][j] + 0.5*(simplex[idx][j]-simplex[best][j])
+			}
+			vals[idx] = eval(simplex[idx])
+		}
+	}
+	accept := func(worst int, p []float64, v float64) {
+		copy(simplex[worst], p)
+		vals[worst] = v
+	}
+
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		for i := range order.idx {
+			order.idx[i] = i
+		}
+		sort.Sort(order)
+		best, worst, second := order.idx[0], order.idx[n], order.idx[n-1]
 
 		if vals[worst]-vals[best] < opts.Tol*(math.Abs(vals[best])+opts.Tol) {
 			// Values have converged; make sure the simplex itself has too.
@@ -134,19 +180,13 @@ func NelderMead(f Objective, x0 []float64, bounds Bounds, opts NMOptions) Result
 			if diam < 1e-8*scale {
 				return Result{Params: simplex[best], Value: vals[best], Iters: iter}
 			}
-			for _, idx := range order[1:] {
-				for j := range simplex[idx] {
-					simplex[idx][j] = simplex[best][j] + 0.5*(simplex[idx][j]-simplex[best][j])
-				}
-				simplex[idx] = bounds.Clamp(simplex[idx])
-				vals[idx] = eval(simplex[idx])
-			}
+			shrink(best)
 			continue
 		}
 
 		// Centroid of all vertices except the worst.
-		centroid := make([]float64, n)
-		for _, idx := range order[:n] {
+		clear(centroid)
+		for _, idx := range order.idx[:n] {
 			for j := range centroid {
 				centroid[j] += simplex[idx][j]
 			}
@@ -155,47 +195,30 @@ func NelderMead(f Objective, x0 []float64, bounds Bounds, opts NMOptions) Result
 			centroid[j] /= float64(n)
 		}
 
-		combine := func(alpha float64) ([]float64, float64) {
-			p := make([]float64, n)
-			for j := range p {
-				p[j] = centroid[j] + alpha*(centroid[j]-simplex[worst][j])
-			}
-			p = bounds.Clamp(p)
-			return p, eval(p)
-		}
-
-		refl, fRefl := combine(1)
+		fRefl := combine(refl, 1, simplex[worst])
 		switch {
 		case fRefl < vals[best]:
 			// Try expanding further in the same direction.
-			exp, fExp := combine(2)
-			if fExp < fRefl {
-				simplex[worst], vals[worst] = exp, fExp
+			if fExp := combine(exp, 2, simplex[worst]); fExp < fRefl {
+				accept(worst, exp, fExp)
 			} else {
-				simplex[worst], vals[worst] = refl, fRefl
+				accept(worst, refl, fRefl)
 			}
 		case fRefl < vals[second]:
-			simplex[worst], vals[worst] = refl, fRefl
+			accept(worst, refl, fRefl)
 		default:
 			// Contract toward the centroid.
-			var con []float64
 			var fCon float64
 			if fRefl < vals[worst] {
-				con, fCon = combine(0.5) // outside contraction
+				fCon = combine(con, 0.5, simplex[worst]) // outside contraction
 			} else {
-				con, fCon = combine(-0.5) // inside contraction
+				fCon = combine(con, -0.5, simplex[worst]) // inside contraction
 			}
 			if fCon < math.Min(fRefl, vals[worst]) {
-				simplex[worst], vals[worst] = con, fCon
+				accept(worst, con, fCon)
 			} else {
 				// Shrink everything toward the best vertex.
-				for _, idx := range order[1:] {
-					for j := range simplex[idx] {
-						simplex[idx][j] = simplex[best][j] + 0.5*(simplex[idx][j]-simplex[best][j])
-					}
-					simplex[idx] = bounds.Clamp(simplex[idx])
-					vals[idx] = eval(simplex[idx])
-				}
+				shrink(best)
 			}
 		}
 	}
@@ -230,15 +253,25 @@ func (o MultiStartOptions) withDefaults() MultiStartOptions {
 // additional points sampled log-uniformly (when Lo>0) or uniformly inside
 // the bounds, returning the best result. This is how the non-convex
 // 10-parameter fit of the paper's model avoids poor local minima.
-func MultiStartNelderMead(f Objective, x0 []float64, bounds Bounds, opts MultiStartOptions) Result {
+//
+// The runs are independent, so they go concurrently on up to GOMAXPROCS
+// goroutines. Each run minimizes its own objective from newObjective,
+// which lets an objective own scratch buffers; calling it once per run
+// rather than once per goroutine keeps both the objectives' state and
+// the allocation count independent of the worker count. Every start is
+// drawn from the RNG up front in a fixed order and the results are
+// reduced in start order, x0 first, keeping a later run only when it is
+// strictly better: the result is bit-identical at any GOMAXPROCS.
+func MultiStartNelderMead(newObjective func() Objective, x0 []float64, bounds Bounds, opts MultiStartOptions) Result {
 	opts = opts.withDefaults()
 	if len(bounds.Lo) != len(x0) || len(bounds.Hi) != len(x0) {
 		panic(fmt.Sprintf("regress: MultiStartNelderMead bounds dims (%d,%d) do not match x0 (%d)",
 			len(bounds.Lo), len(bounds.Hi), len(x0)))
 	}
-	best := NelderMead(f, x0, bounds, opts.NM)
+	starts := make([][]float64, opts.Starts+1)
+	starts[0] = x0
 	r := rng.New(opts.Seed)
-	for s := 0; s < opts.Starts; s++ {
+	for s := 1; s < len(starts); s++ {
 		start := make([]float64, len(x0))
 		for i := range start {
 			lo, hi := bounds.Lo[i], bounds.Hi[i]
@@ -249,7 +282,48 @@ func MultiStartNelderMead(f Objective, x0 []float64, bounds Bounds, opts MultiSt
 				start[i] = lo + r.Float64()*(hi-lo)
 			}
 		}
-		res := NelderMead(f, start, bounds, opts.NM)
+		starts[s] = start
+	}
+
+	results := make([]Result, len(starts))
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicMu  sync.Mutex
+		panicked any
+	)
+	work := func() {
+		defer wg.Done()
+		defer func() {
+			// Re-raised on the caller's goroutine below, as it would
+			// have been had the run not left it.
+			if p := recover(); p != nil {
+				panicMu.Lock()
+				panicked = p
+				panicMu.Unlock()
+			}
+		}()
+		for {
+			s := int(next.Add(1)) - 1
+			if s >= len(starts) {
+				return
+			}
+			results[s] = NelderMead(newObjective(), starts[s], bounds, opts.NM)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(starts))
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work() // the caller is a worker too
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+
+	best := results[0]
+	for _, res := range results[1:] {
 		if res.Value < best.Value {
 			best = res
 		}

@@ -105,7 +105,7 @@ func TestMultiStartFindsGlobalMin(t *testing.T) {
 		t.Skipf("local run unexpectedly escaped; got %v", local.Params)
 	}
 	// …but multi-start explores enough to find the global one.
-	global := MultiStartNelderMead(f, []float64{5}, bounds, MultiStartOptions{Starts: 16, Seed: 3})
+	global := MultiStartNelderMead(func() Objective { return f }, []float64{5}, bounds, MultiStartOptions{Starts: 16, Seed: 3})
 	if math.Abs(global.Params[0]-1) > 0.05 {
 		t.Errorf("multi-start got %v, want ~1", global.Params)
 	}
@@ -114,8 +114,8 @@ func TestMultiStartFindsGlobalMin(t *testing.T) {
 func TestMultiStartDeterministic(t *testing.T) {
 	f := quadratic([]float64{2, 2, 2})
 	b := Bounds{Lo: []float64{0, 0, 0}, Hi: []float64{5, 5, 5}}
-	r1 := MultiStartNelderMead(f, []float64{1, 1, 1}, b, MultiStartOptions{Starts: 4, Seed: 9})
-	r2 := MultiStartNelderMead(f, []float64{1, 1, 1}, b, MultiStartOptions{Starts: 4, Seed: 9})
+	r1 := MultiStartNelderMead(func() Objective { return f }, []float64{1, 1, 1}, b, MultiStartOptions{Starts: 4, Seed: 9})
+	r2 := MultiStartNelderMead(func() Objective { return f }, []float64{1, 1, 1}, b, MultiStartOptions{Starts: 4, Seed: 9})
 	for i := range r1.Params {
 		if r1.Params[i] != r2.Params[i] {
 			t.Fatalf("non-deterministic multi-start: %v vs %v", r1.Params, r2.Params)
@@ -129,7 +129,7 @@ func TestMultiStartBoundsMismatchPanics(t *testing.T) {
 			t.Error("expected panic on mismatched bounds")
 		}
 	}()
-	MultiStartNelderMead(quadratic([]float64{0}), []float64{0},
+	MultiStartNelderMead(func() Objective { return quadratic([]float64{0}) }, []float64{0},
 		Bounds{Lo: []float64{0, 0}, Hi: []float64{1, 1}}, MultiStartOptions{})
 }
 
@@ -172,12 +172,10 @@ func TestMinimizeRelSq(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 3 * math.Pow(x, 0.7)
 	}
-	predict := func(p []float64) []float64 {
-		out := make([]float64, len(xs))
+	predict := func(p, out []float64) {
 		for i, x := range xs {
 			out[i] = p[0] * math.Pow(x, p[1])
 		}
-		return out
 	}
 	b := Bounds{Lo: []float64{0.01, 0}, Hi: []float64{100, 3}}
 	res := MinimizeRelSq(predict, ys, []float64{1, 1}, b, MultiStartOptions{Starts: 6, Seed: 2})
